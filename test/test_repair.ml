@@ -372,6 +372,71 @@ let robustness_tests =
           Validation.run ~batch:1 ~operator:counting corrupted Cash_budget.constraints
         in
         Alcotest.(check bool) "converged" true outcome.Validation.converged);
+    t "a cancelled re-solve ends the loop unconverged" (fun () ->
+        (* Overriding the Example 6 suggestion with its acquired value
+           forces a re-solve; firing the token from inside the operator
+           cancels exactly that re-solve. *)
+        let db = Cash_budget.figure3 () in
+        let override_first ~on_first : Validation.operator =
+          let first = ref true in
+          fun ~cell:(_, attr) ~tuple ~suggested:_ ->
+            if !first then begin
+              first := false;
+              on_first ();
+              let rs = Schema.relation (Database.schema db) (Tuple.relation tuple) in
+              Validation.Override (Tuple.value_by_name rs tuple attr)
+            end
+            else Validation.Accept
+        in
+        let free =
+          Validation.run ~operator:(override_first ~on_first:ignore) db
+            Cash_budget.constraints
+        in
+        Alcotest.(check bool) "uncancelled: converges" true free.Validation.converged;
+        Alcotest.(check bool) "uncancelled: re-solved" true
+          (free.Validation.iterations >= 2);
+        let cancel = Dart_resilience.Cancel.create () in
+        let outcome =
+          Validation.run ~cancel
+            ~operator:
+              (override_first ~on_first:(fun () -> Dart_resilience.Cancel.cancel cancel))
+            db Cash_budget.constraints
+        in
+        Alcotest.(check bool) "not converged" false outcome.Validation.converged;
+        Alcotest.(check int) "one proposal" 1 outcome.Validation.iterations;
+        Alcotest.(check int) "examined" 1 outcome.Validation.examined;
+        Alcotest.(check int) "pins" 1 outcome.Validation.pins;
+        Alcotest.(check bool) "database untouched" true
+          (Database.equal_contents outcome.Validation.final_db db));
+    t "with batch, a fully accepted round still re-solves" (fun () ->
+        (* The operator who asks for a re-computation after each batch
+           gets one even when the batch covered (and accepted) the whole
+           proposal; without a batch the accepted proposal stands. *)
+        let truth = Cash_budget.figure1 () in
+        let db = Cash_budget.figure3 () in
+        let solves batch =
+          let sink, events = Dart_obs.Obs.memory_sink () in
+          Dart_obs.Obs.install sink;
+          let outcome =
+            Fun.protect
+              ~finally:(fun () -> Dart_obs.Obs.uninstall sink)
+              (fun () ->
+                Validation.run ?batch ~operator:(Validation.oracle ~truth) db
+                  Cash_budget.constraints)
+          in
+          Alcotest.(check bool) "converged" true outcome.Validation.converged;
+          Alcotest.(check bool) "final equals truth" true
+            (Database.equal_contents outcome.Validation.final_db truth);
+          List.length
+            (List.filter
+               (function
+                 | Dart_obs.Obs.Span { name = "repair.card_minimal"; _ } -> true
+                 | _ -> false)
+               (events ()))
+        in
+        Alcotest.(check int) "no batch: one solve" 1 (solves None);
+        Alcotest.(check int) "batch 10: re-solves after the accept" 2
+          (solves (Some 10)));
   ]
 
 let semantics_tests =
