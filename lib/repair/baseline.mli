@@ -4,8 +4,30 @@
     instances (subset enumeration by increasing size); {!greedy} is the
     cheap heuristic whose over-repairs motivate the MILP translation. *)
 
+open Dart_numeric
 open Dart_relational
 open Dart_constraints
+
+(** Outcome of checking one repair support. *)
+type support =
+  | Repairable of Rat.t option * (Ground.cell * Rat.t) list
+      (** the objective's optimum ([None] without an objective) and the
+          support cells the solution moves, with their new values *)
+  | Unbounded  (** the objective cell is unbounded over the support *)
+  | No_solution
+      (** freeing exactly these cells admits no repair (or the search
+          budget ran out before one was found) *)
+
+val solve_support :
+  ?objective:Ground.cell * [ `Min | `Max ] ->
+  Database.t -> Ground.row list -> free:Ground.cell list -> support
+(** The delta-free check of a support: every cell outside [free] keeps
+    its database value, and the ground rows must hold.  No big-M and no
+    δ variables, so the LP relaxation is as tight as the rows themselves.
+    [objective] minimizes or maximizes one cell over the same system. *)
+
+val subsets : int -> 'a list -> 'a list list
+(** All size-[k] subsets of a list, in lexicographic order of positions. *)
 
 val exhaustive :
   ?max_card:int -> Database.t -> Agg_constraint.t list -> Repair.t option

@@ -170,14 +170,10 @@ let add_pin (t : t) ((cell, value) : Ground.cell * Rat.t) : bool =
 let decode db (t : t) (assignment : Rat.t array) : Repair.t =
   let updates = ref [] in
   Array.iteri
-    (fun i (tid, attr) ->
+    (fun i cell ->
       let zv = assignment.(t.z.(i)) in
-      if not (Rat.equal zv t.originals.(i)) then begin
-        let tu = Database.find db tid in
-        let rs = Schema.relation (Database.schema db) (Tuple.relation tu) in
-        let dom = Schema.attr_domain rs attr in
-        updates := Update.make ~tid ~attr ~new_value:(Value.of_rat dom zv) :: !updates
-      end)
+      if not (Rat.equal zv t.originals.(i)) then
+        updates := Update.of_rat db cell zv :: !updates)
     t.cells;
   List.rev !updates
 

@@ -19,6 +19,16 @@ let cell u : Ground.cell = (u.tid, u.attr)
 
 let make ~tid ~attr ~new_value = { tid; attr; new_value }
 
+(** The domain of the cell's attribute in the tuple's relation. *)
+let attr_domain db ((tid, attr) : Ground.cell) =
+  let tu = Database.find db tid in
+  Schema.attr_domain (Schema.relation (Database.schema db) (Tuple.relation tu)) attr
+
+(** The update setting [cell] to the rational [v], read in the cell's
+    attribute domain. *)
+let of_rat db ((tid, attr) as cell : Ground.cell) v =
+  make ~tid ~attr ~new_value:(Value.of_rat (attr_domain db cell) v)
+
 (** Validity of a single update against a database (Definition 2): the
     attribute must be a measure attribute and the value must differ. *)
 let valid db u =

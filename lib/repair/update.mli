@@ -14,6 +14,15 @@ val cell : t -> Ground.cell
 
 val make : tid:Tuple.id -> attr:string -> new_value:Value.t -> t
 
+val attr_domain : Database.t -> Ground.cell -> Value.domain
+(** The domain of the cell's attribute.
+    @raise Not_found if the tuple or attribute is missing. *)
+
+val of_rat : Database.t -> Ground.cell -> Dart_numeric.Rat.t -> t
+(** The update setting the cell to a rational value, converted into the
+    attribute's domain (the one way solver values become updates).
+    @raise Not_found if the tuple or attribute is missing. *)
+
 val valid : Database.t -> t -> bool
 (** Definition 2: the attribute is a measure attribute of the tuple's
     relation and the new value differs from the current one. *)
