@@ -62,8 +62,9 @@ module Make (F : Field.S) = struct
                                [status]/[assignment] reflect the best incumbent
                                found before the abort *)
     phases : Obs.Phases.t;
-        (** wall-clock attribution summed over every node relaxation
-            (simplex ["phase1"]/["phase2"]/["dual"]/["snapshot"]) *)
+        (** self-time attribution summed over every node relaxation
+            (simplex ["phase1"]/["phase2"]/["dual"]/["snapshot"] and the
+            sparse-core kernels nested in them) *)
     node_log : node_event list;
         (** bounded, decimated sample of the search (exploration order);
             incumbent-improving nodes are always offered with [force] so

@@ -386,8 +386,10 @@ module Phases : sig
   val create : unit -> t
 
   val time : t -> string -> (unit -> 'a) -> 'a
-  (** Run the thunk, adding its wall-clock duration (and one call) to the
-      named phase; exception-safe. *)
+  (** Run the thunk, adding its self time (and one call) to the named
+      phase: its wall-clock duration minus the time of [time] calls on
+      the same [t] nested inside it.  The phase totals therefore sum to
+      at most the wall clock they cover.  Exception-safe. *)
 
   val add_us : t -> string -> float -> unit
   (** Credit a pre-measured duration (clamped at [0.0]) to the named

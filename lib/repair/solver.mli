@@ -33,8 +33,12 @@ type comp_report = {
           ["infeasible"]/["budget"]/["cancelled"] *)
   cr_gap : float option; (** final relative gap; [0.0] when proved optimal *)
   cr_phases : (string * (int * float)) list;
-      (** [(phase, (calls, total_us))]: ["phase1"], ["phase2"], ["dual"],
-          ["snapshot"] — where this component's solve time went *)
+      (** [(phase, (calls, self_us))] — where this component's solve
+          time went: the simplex phases ["phase1"], ["phase2"], ["dual"],
+          ["snapshot"] and the sparse-core kernels ["factor"], ["ftran"],
+          ["btran"], ["price"] that run inside them.  Each entry is self
+          time (nested phases excluded), so the entries sum to at most
+          the component's wall clock. *)
   cr_gap_timeline : (float * float) list;
       (** [(elapsed_us, gap)] — how the incumbent closed on the bound *)
 }

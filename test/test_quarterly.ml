@@ -108,6 +108,30 @@ let triangulation_tests =
           Alcotest.(check bool) "restores truth" true (u.Update.new_value = Value.Int v)
         | _, Solver.Consistent -> Alcotest.fail "corruption should violate constraints"
         | _ -> Alcotest.fail "expected a 1-update repair");
+    t "phase totals sum to at most the solve's wall clock" (fun () ->
+        (* The LP kernels (factor/ftran/btran/price) are timed inside the
+           phase1/phase2/dual timers; each phase holds self time, so no
+           time is counted twice.  Scoreboard seed, sequential solve. *)
+        let prng = Prng.create 2101 in
+        let truth = Quarterly.generate ~years:2 prng in
+        let corrupted, _ = Quarterly.corrupt ~errors:2 prng truth in
+        match Solver.card_minimal corrupted Quarterly.constraints with
+        | Solver.Repaired (_, _, s) ->
+          let phases_ms =
+            List.fold_left
+              (fun acc c ->
+                List.fold_left
+                  (fun acc (_, (_, us)) -> acc +. (us /. 1000.0))
+                  acc c.Solver.cr_phases)
+              0.0 s.Solver.report
+          in
+          Alcotest.(check bool) "phase time recorded" true (phases_ms > 0.0);
+          Alcotest.(check bool)
+            (Printf.sprintf "phases %.3f ms <= solve %.3f ms" phases_ms
+               s.Solver.solve_ms)
+            true
+            (phases_ms <= s.Solver.solve_ms)
+        | _ -> Alcotest.fail "expected a repair");
   ]
 
 let pipeline_tests =
