@@ -351,7 +351,77 @@ let status_name = function
   | Solver.Node_budget_exceeded _ -> "node_budget_exceeded"
   | Solver.Cancelled _ -> "cancelled"
 
+(* A result with its timings dropped: wall clock, per-phase time and the
+   gap timeline's timestamps.  Everything left is deterministic. *)
+let untimed_stats (s : Solver.stats) =
+  { s with
+    Solver.solve_ms = 0.0;
+    report =
+      List.map
+        (fun (c : Solver.comp_report) ->
+          { c with
+            Solver.cr_phases =
+              List.map (fun (n, (calls, _)) -> (n, (calls, 0.0))) c.Solver.cr_phases;
+            cr_gap_timeline = List.map (fun (_, g) -> (0.0, g)) c.Solver.cr_gap_timeline })
+        s.Solver.report }
+
+let untimed = function
+  | Solver.Consistent -> Solver.Consistent
+  | Solver.Repaired (rho, prov, s) -> Solver.Repaired (rho, prov, untimed_stats s)
+  | Solver.No_repair s -> Solver.No_repair (untimed_stats s)
+  | Solver.Node_budget_exceeded s -> Solver.Node_budget_exceeded (untimed_stats s)
+  | Solver.Cancelled s -> Solver.Cancelled (untimed_stats s)
+
+(* The scoreboard's instances: seed 2101, two corruptions. *)
+let scoreboard_instances =
+  let inst name generate corrupt constraints =
+    let prng = Prng.create 2101 in
+    let truth = generate prng in
+    (name, corrupt prng truth, constraints)
+  in
+  [ inst "cash-budget" (Cash_budget.generate ~years:2)
+      (fun p db -> fst (Cash_budget.corrupt ~errors:2 p db))
+      Cash_budget.constraints;
+    inst "balance-sheet" (Balance_sheet.generate ~years:1)
+      (fun p db -> fst (Balance_sheet.corrupt ~errors:2 p db))
+      Balance_sheet.constraints;
+    inst "catalog" Catalog.generate
+      (fun p db -> fst (Catalog.corrupt ~errors:2 p db))
+      Catalog.constraints;
+    inst "quarterly" (Quarterly.generate ~years:2)
+      (fun p db -> fst (Quarterly.corrupt ~errors:2 p db))
+      Quarterly.constraints ]
+
 let repair_stack_tests =
+  List.map
+    (fun (name, db, constraints) ->
+      t (name ^ ": a fresh Warm.solve returns card_minimal's result") (fun () ->
+          (* Unpinned, then with the first repaired cell pinned to its
+             acquired value (which forces a different repair). *)
+          let unpinned = Solver.card_minimal db constraints in
+          let pinned =
+            match unpinned with
+            | Solver.Repaired (u :: _, _, _) ->
+              let cell = Update.cell u in
+              [ (cell, Ground.db_valuation db cell) ]
+            | _ -> Alcotest.fail "expected a repair"
+          in
+          List.iter
+            (fun forced ->
+              let one_shot =
+                if forced = [] then unpinned
+                else Solver.card_minimal ~forced db constraints
+              in
+              let warm = Solver.Warm.solve (Solver.Warm.create db constraints) ~forced in
+              Alcotest.(check string) "same status" (status_name one_shot)
+                (status_name warm);
+              Alcotest.(check bool)
+                (Printf.sprintf "%d pin(s): identical result" (List.length forced))
+                true
+                (untimed one_shot = untimed warm))
+            [ []; pinned ]))
+    scoreboard_instances
+  @
   [ t "Warm.solve matches card_minimal across a growing pin sequence"
       (fun () ->
         let db = Cash_budget.figure3 () in
