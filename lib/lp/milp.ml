@@ -19,20 +19,6 @@
 module Obs = Dart_obs.Obs
 module Cancel = Dart_resilience.Cancel
 
-(** One sampled branch-and-bound node, in float space (converted with
-    [F.to_float] so the log is field-agnostic and cheap to serialize).
-    Times are microseconds since the [solve] call started. *)
-type node_event = {
-  ne_t_us : float;            (** elapsed since solve start *)
-  ne_node : int;              (** 1-based node number (exploration order) *)
-  ne_depth : int;
-  ne_open : int;              (** frontier size, this node excluded *)
-  ne_incumbent : float option;(** incumbent objective when the node closed *)
-  ne_bound : float;           (** this node's relaxation objective *)
-  ne_gap : float option;      (** relative gap vs the root bound, when an
-                                  incumbent exists *)
-}
-
 module Make (F : Field.S) = struct
   module P = Lp_problem.Make (F)
   module S = Simplex.Make (F)
@@ -65,10 +51,6 @@ module Make (F : Field.S) = struct
         (** self-time attribution summed over every node relaxation
             (simplex ["phase1"]/["phase2"]/["dual"]/["snapshot"] and the
             sparse-core kernels nested in them) *)
-    node_log : node_event list;
-        (** bounded, decimated sample of the search (exploration order);
-            incumbent-improving nodes are always offered with [force] so
-            the convergence staircase survives decimation *)
     gap_timeline : (float * float) list;
         (** [(elapsed_us, relative gap)] — how the incumbent closed on the
             root bound over time.  Non-empty iff an incumbent was found.
@@ -105,34 +87,13 @@ module Make (F : Field.S) = struct
     let warm_fallbacks = ref 0 in
     let root_snapshot = ref None in
     (* Convergence instrumentation: per-phase wall-clock merged up from
-       every relaxation, a bounded node log, and the gap-over-time series.
-       All of it is owned data (no sink required), so a caller asking for a
-       solve report gets one even with observability off. *)
+       every relaxation, and the gap-over-time series.  Both are owned
+       data (no sink required), so a caller asking for a solve report gets
+       one even with observability off. *)
     let t0 = Obs.now_us () in
     let phases = Obs.Phases.create () in
     let gap_tl = Obs.Timeline.create () in
     let root_bound = ref None in   (* float; integrality-sharpened *)
-    let open_count = ref 1 in      (* frontier size incl. the node in hand *)
-    let nl_cap = 256 in
-    let nl_buf = ref [] (* newest first *) in
-    let nl_n = ref 0 and nl_stride = ref 1 and nl_seen = ref 0 in
-    let nl_record ~force ev =
-      let admit = force || !nl_seen mod !nl_stride = 0 in
-      incr nl_seen;
-      if admit then begin
-        if !nl_n >= nl_cap then begin
-          (* Same deterministic decimation as {!Obs.Timeline}: drop every
-             other retained event (keeping the oldest of each pair) and
-             double the admission stride. *)
-          let kept = List.filteri (fun i _ -> i mod 2 = 0) (List.rev !nl_buf) in
-          nl_buf := List.rev kept;
-          nl_n := List.length kept;
-          nl_stride := !nl_stride * 2
-        end;
-        nl_buf := ev :: !nl_buf;
-        incr nl_n
-      end
-    in
     let rel_gap inc_f =
       match !root_bound with
       | None -> None
@@ -203,7 +164,6 @@ module Make (F : Field.S) = struct
            the incumbent ref survives for anytime degradation. *)
         Cancel.check cancel;
         incr nodes;
-        open_count := !open_count - 1;
         Obs.Metrics.incr m_nodes;
         if Obs.enabled () then
           Obs.log Debug "milp.node" ~attrs:[ ("depth", Obs.Int depth) ];
@@ -247,15 +207,10 @@ module Make (F : Field.S) = struct
               end
             | Some _ -> ()
           end;
-          let inc_f = Option.map (fun (o, _) -> F.to_float o) !incumbent in
-          let gap = Option.bind inc_f rel_gap in
-          let el = Float.max 0.0 (Obs.now_us () -. t0) in
-          nl_record ~force:!improved
-            { ne_t_us = el; ne_node = !nodes; ne_depth = depth;
-              ne_open = !open_count; ne_incumbent = inc_f;
-              ne_bound = F.to_float objective; ne_gap = gap };
-          (match gap with
-           | Some g -> Obs.Timeline.record gap_tl ~elapsed_us:el ~force:!improved g
+          (match Option.bind !incumbent (fun (o, _) -> rel_gap (F.to_float o)) with
+           | Some g ->
+             let el = Float.max 0.0 (Obs.now_us () -. t0) in
+             Obs.Timeline.record gap_tl ~elapsed_us:el ~force:!improved g
            | None -> ());
           (match frac with
            | None -> ()
@@ -273,7 +228,6 @@ module Make (F : Field.S) = struct
              in
              let down () = branch Lp_problem.Le fl in
              let up () = branch Lp_problem.Ge ce in
-             open_count := !open_count + 2;
              (* Explore the branch nearest the fractional value first. *)
              let frac = F.sub x fl in
              if F.compare frac (F.sub F.one frac) <= 0 then begin down (); up () end
@@ -305,7 +259,7 @@ module Make (F : Field.S) = struct
         simplex_pivots = !pivots; dual_pivots = !dual_pivots;
         warm_starts = !warm_starts; warm_fallbacks = !warm_fallbacks;
         root_snapshot = !root_snapshot; cancelled = !cancelled;
-        phases; node_log = List.rev !nl_buf;
+        phases;
         gap_timeline = Obs.Timeline.points gap_tl;
         root_bound = !root_bound; final_gap }
     in

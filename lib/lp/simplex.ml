@@ -1,52 +1,40 @@
-(** Simplex over an arbitrary ordered field, with warm restarts and two
-    interchangeable cores.
+(** Simplex over an arbitrary ordered field, with warm restarts.
 
-    The {b dense} core is the classic two-phase full-tableau method with
-    Bland's anti-cycling rule: every pivot touches every column, which is
-    simple, exact and fine for small instances.
+    The solver is a {b sparse} revised simplex: constraint columns live in
+    a {!Sparse_mat} (CSC), the basis is factorized as LU in product form
+    by {!Basis_lu} (an eta file with Markowitz-style pivot selection,
+    refactorized every K update etas or when the residual ‖B·x_B − b‖
+    drifts), pricing is devex over partial-pricing column blocks with an
+    automatic fallback to Bland's rule once a stall/cycling heuristic
+    trips (so anti-cycling stays guaranteed), and each iteration costs
+    O(nnz) instead of O(m·n).  It is field-generic (pluggable
+    float/rational field), polls a cancellation token, warm-starts from
+    snapshots with a bounded dual-simplex repair phase for appended
+    [<=]/[>=] rows, and attributes wall-clock time per phase.  Any
+    structural mismatch between a snapshot and the problem silently falls
+    back to a cold solve — a stale snapshot can cost time but never
+    correctness.
 
-    The {b sparse} core (the default) is a revised simplex: constraint
-    columns live in a {!Sparse_mat} (CSC), the basis is factorized as LU in
-    product form by {!Basis_lu} (an eta file with Markowitz-style pivot
-    selection, refactorized every K update etas or when the residual
-    ‖B·x_B − b‖ drifts), pricing is devex over partial-pricing column
-    blocks with an automatic fallback to Bland's rule once a stall/cycling
-    heuristic trips (so anti-cycling stays guaranteed), and each iteration
-    costs O(nnz) instead of O(m·n).
-
-    Both cores sit behind the same field-generic interface: pluggable
-    float/rational field, cooperative cancellation polling, snapshot
-    warm-starts with a bounded dual-simplex repair phase for appended
-    [<=]/[>=] rows, and per-phase wall-clock attribution.  A snapshot
-    carries the core that produced it, so a warm start always replays on
-    the matching machinery; any structural mismatch silently falls back to
-    a cold solve — a stale snapshot can cost time but never correctness.
-    The sparse core additionally falls back to the dense core when the
-    factorization signals numerical trouble (singular or irreducible
-    residual under an inexact field), and [Auto] picks dense outright for
-    tiny instances where the revised machinery is pure overhead. *)
+    The {b dense} core — the classic two-phase full-tableau method with
+    Bland's anti-cycling rule — is kept as a cold reference solver
+    ([~core:Dense], for differential tests and the core bench) and as the
+    sparse core's numerical fallback when the factorization signals
+    trouble (singular, or an irreducible residual under an inexact
+    field).  A dense solve always runs cold and captures no snapshot. *)
 
 module Obs = Dart_obs.Obs
 module Cancel = Dart_resilience.Cancel
 
-(** Which simplex engine to run.  [Auto] resolves per problem: dense below
-    {!tuning}[.auto_dense_rows] constraint rows, sparse above. *)
-type core = Dense | Sparse | Auto
+(** Which simplex engine to run: the sparse revised core, or the dense
+    tableau reference. *)
+type core = Dense | Sparse
 
 let core_to_string = function
   | Dense -> "dense"
   | Sparse -> "sparse"
-  | Auto -> "auto"
 
-let core_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | "auto" -> Some Auto
-  | _ -> None
-
-let default_core_ref = ref Sparse
-let default_core () = !default_core_ref
-let set_default_core c = default_core_ref := c
+(** The core every solve runs unless a caller asks for the reference. *)
+let default_core () = Sparse
 
 (** Sparse-core policy knobs, shared across all field instantiations.
     Mutable so tests and ablations can pin behaviours (e.g. a negative
@@ -64,13 +52,11 @@ type tuning = {
       (** consecutive degenerate pivots before devex falls back to Bland *)
   mutable partial_block : int;
       (** column-block width for partial pricing *)
-  mutable auto_dense_rows : int;
-      (** [Auto] uses the dense core at or below this many constraint rows *)
 }
 
 let tuning =
   { refactor_every = 64; drift_check_every = 16; drift_tol = 1e-6;
-    stall_threshold = 20; partial_block = 128; auto_dense_rows = 16 }
+    stall_threshold = 20; partial_block = 128 }
 
 (* Residual (relative) beyond which a *fresh* factorization is declared
    numerically hopeless and the solve falls back to the dense core. *)
@@ -170,20 +156,10 @@ module Make (F : Field.S) = struct
                                        or in the dual phase *)
   }
 
-  (** Dense final state: the full tableau, ready to be widened by appended
-      rows. *)
-  type dense_state = {
-    d_rows : F.t array array;
-    d_obj : F.t array;
-    d_basis : int array;
-    d_is_artificial : bool array;
-    d_ncols : int;
-  }
-
-  (** Sparse final state: the basis header plus the captured basic values
-      and reduced costs (enough to check the warm-start invariants without
-      refactorizing; the warm path refactorizes and recomputes both
-      exactly anyway). *)
+  (** Final state of a sparse solve: the basis header plus the captured
+      basic values and reduced costs (enough to check the warm-start
+      invariants without refactorizing; the warm path refactorizes and
+      recomputes both exactly anyway). *)
   type sparse_state = {
     z_basis : int array;          (* row slot -> basic column *)
     z_nstd : int;
@@ -194,8 +170,6 @@ module Make (F : Field.S) = struct
     z_xb : F.t array;             (* basic values by row slot *)
     z_dj : F.t array;             (* reduced costs at capture *)
   }
-
-  type basis_state = Dense_basis of dense_state | Sparse_basis of sparse_state
 
   (** The final state of an optimal solve, sufficient to warm-start a
       re-solve of the same problem extended by appended inequality rows.
@@ -210,18 +184,10 @@ module Make (F : Field.S) = struct
     s_objective : (F.t * int) list;
     s_constrs : P.constr array;       (* problem rows covered by the basis *)
     s_encodings : encoding array;
-    s_state : basis_state;
+    s_state : sparse_state;
   }
 
-  (** Which core produced a snapshot (a warm start replays on the same
-      core). *)
-  let snapshot_core (s : snapshot) =
-    match s.s_state with Dense_basis _ -> Dense | Sparse_basis _ -> Sparse
-
-  let snapshot_rows (s : snapshot) =
-    match s.s_state with
-    | Dense_basis d -> Array.length d.d_rows
-    | Sparse_basis z -> Array.length z.z_basis
+  let snapshot_rows (s : snapshot) = Array.length s.s_state.z_basis
 
   (* ------------------------------------------------------------------ *)
   (* Dense tableau machinery                                             *)
@@ -298,57 +264,6 @@ module Make (F : Field.S) = struct
          if !pivots land cancel_poll_mask = 0 then Cancel.check cancel;
          iterate t ~allow_artificial ~pivots ~cancel)
 
-  (* Dual simplex: starting from a dual-feasible tableau (all non-artificial
-     reduced costs >= 0) with some negative rhs entries, restore primal
-     feasibility while keeping dual feasibility.  Anti-cycling by the dual
-     Bland rule: leaving row = smallest basic-variable index among
-     infeasible rows; entering column = smallest index among the minimum
-     ratio obj_j / -a_rj over a_rj < 0.  [budget] bounds the pivot count
-     (the caller falls back to a cold solve on a stall). *)
-  type dual_outcome = Primal_feasible | Dual_infeasible_row | Stalled
-
-  let dual_iterate t ~pivots ~budget ~cancel =
-    let m = Array.length t.rows in
-    let rec go () =
-      if !pivots >= budget then Stalled
-      else begin
-        let leave = ref (-1) in
-        for i = 0 to m - 1 do
-          if F.compare t.rows.(i).(t.ncols) F.zero < 0
-             && (!leave < 0 || t.basis.(i) < t.basis.(!leave))
-          then leave := i
-        done;
-        if !leave < 0 then Primal_feasible
-        else begin
-          let r = t.rows.(!leave) in
-          let best = ref (-1) in
-          let best_ratio = ref F.zero in
-          for j = 0 to t.ncols - 1 do
-            if (not t.is_artificial.(j)) && F.compare r.(j) F.zero < 0 then begin
-              let ratio = F.div t.obj.(j) (F.neg r.(j)) in
-              if !best < 0 || F.compare ratio !best_ratio < 0 then begin
-                best := j;
-                best_ratio := ratio
-              end
-            end
-          done;
-          if !best < 0 then
-            (* rhs < 0 with every real coefficient >= 0: no non-negative
-               assignment can satisfy the row (artificials are 0 in any
-               solution of the original problem), so it is a certificate of
-               primal infeasibility. *)
-            Dual_infeasible_row
-          else begin
-            pivot t ~row:!leave ~col:!best;
-            incr pivots;
-            if !pivots land cancel_poll_mask = 0 then Cancel.check cancel;
-            go ()
-          end
-        end
-      end
-    in
-    go ()
-
   (* Install a cost vector into the reduced-cost row and re-eliminate the
      basic columns so the row is expressed over nonbasic variables only. *)
   let install_costs t (costs : F.t array) =
@@ -407,50 +322,21 @@ module Make (F : Field.S) = struct
     Array.iteri (fun i b -> std.(b) <- t.rows.(i).(t.ncols)) t.basis;
     decode_std p ~encodings std
 
-  let shared_snapshot_fields (p : P.t) ~(encodings : encoding array) state =
-    { s_nvars = P.num_vars p;
-      s_lowers = P.var_lowers p;
-      s_uppers = P.var_uppers p;
-      s_minimize = P.minimize p;
-      s_objective = P.objective p;
-      s_constrs = P.constraints p;
-      s_encodings = Array.copy encodings;
-      s_state = state }
-
-  let capture (p : P.t) ~(encodings : encoding array) t : snapshot =
-    shared_snapshot_fields p ~encodings
-      (Dense_basis
-         { d_rows = Array.map Array.copy t.rows;
-           d_obj = Array.copy t.obj;
-           d_basis = Array.copy t.basis;
-           d_is_artificial = Array.copy t.is_artificial;
-           d_ncols = t.ncols })
-
   (** Does the snapshot's basis satisfy the warm-start invariants?  Primal:
       every basic value is non-negative.  Dual: every non-artificial
       reduced cost is non-negative.  Both hold after any optimal solve; the
       warm path relies on the dual half.  Exposed for the property tests
       that pin the invariants. *)
   let snapshot_primal_feasible (s : snapshot) =
-    match s.s_state with
-    | Dense_basis d ->
-      Array.for_all (fun r -> F.compare r.(d.d_ncols) F.zero >= 0) d.d_rows
-    | Sparse_basis z ->
-      Array.for_all (fun x -> F.compare x F.zero >= 0) z.z_xb
+    Array.for_all (fun x -> F.compare x F.zero >= 0) s.s_state.z_xb
 
   let snapshot_dual_feasible (s : snapshot) =
+    let z = s.s_state in
     let ok = ref true in
-    (match s.s_state with
-     | Dense_basis d ->
-       for j = 0 to d.d_ncols - 1 do
-         if (not d.d_is_artificial.(j)) && F.compare d.d_obj.(j) F.zero < 0 then
-           ok := false
-       done
-     | Sparse_basis z ->
-       for j = 0 to z.z_ncols - 1 do
-         if (not z.z_is_artificial.(j)) && F.compare z.z_dj.(j) F.zero < 0 then
-           ok := false
-       done);
+    for j = 0 to z.z_ncols - 1 do
+      if (not z.z_is_artificial.(j)) && F.compare z.z_dj.(j) F.zero < 0 then
+        ok := false
+    done;
     !ok
 
   (** Number of appended rows a problem adds on top of a snapshot (only
@@ -602,8 +488,7 @@ module Make (F : Field.S) = struct
   (* Dense cold solve                                                    *)
   (* ------------------------------------------------------------------ *)
 
-  let dense_solve_with_spec (p : P.t) (spec : spec) ~st ~cancel ~want_capture
-      : result * snapshot option =
+  let dense_solve_with_spec (p : P.t) (spec : spec) ~st ~cancel : result =
     let encodings = spec.c_encodings in
     let nstd = spec.c_nstd in
     let m = List.length spec.c_rows in
@@ -675,7 +560,7 @@ module Make (F : Field.S) = struct
             st.phase1_pivots <- st.phase1_pivots + !p1;
             F.is_zero (objective_value t))
     in
-    if not feasible then (Infeasible, None)
+    if not feasible then Infeasible
     else begin
       (* Drive surviving artificials out of the basis (they sit at 0).
          Still phase-1 work for attribution purposes. *)
@@ -711,122 +596,8 @@ module Make (F : Field.S) = struct
             outcome)
       in
       match outcome with
-      | Unbounded_direction -> (Unbounded, None)
-      | Finished ->
-        let result = read_solution p ~encodings t in
-        let snap =
-          if want_capture then
-            Some
-              (Obs.Phases.time st.phases phase_snapshot (fun () ->
-                   capture p ~encodings t))
-          else None
-        in
-        (result, snap)
-    end
-
-  (* ------------------------------------------------------------------ *)
-  (* Dense warm solve                                                    *)
-  (* ------------------------------------------------------------------ *)
-
-  (* Extend the snapshot's final tableau with [p]'s appended rows: widen
-     every row by one slack column per appended row, express each appended
-     row over the current basis by Gaussian elimination, and make its slack
-     basic.  Dual feasibility is inherited from the parent's optimality
-     (appended slacks have zero cost); primal feasibility generally is not
-     — the rhs of an appended row may come out negative — which is exactly
-     what the dual phase then repairs.  Returns [None] when the dual phase
-     stalls (budget) or the cleanup detects drift: caller goes cold. *)
-  let warm_attempt (s : snapshot) (d : dense_state) (p : P.t) ~st ~budget ~cancel
-      : (result * snapshot option) option =
-    let constrs = P.constraints p in
-    let base_rows = Array.length d.d_rows in
-    let base = Array.length s.s_constrs in
-    let k = Array.length constrs - base in
-    let ncols = d.d_ncols + k in
-    let widen src =
-      let nr = Array.make (ncols + 1) F.zero in
-      Array.blit src 0 nr 0 d.d_ncols;
-      nr.(ncols) <- src.(d.d_ncols);
-      nr
-    in
-    let rows = Array.make (base_rows + k) [||] in
-    for i = 0 to base_rows - 1 do rows.(i) <- widen d.d_rows.(i) done;
-    let basis = Array.make (base_rows + k) (-1) in
-    Array.blit d.d_basis 0 basis 0 base_rows;
-    let is_artificial = Array.make ncols false in
-    Array.blit d.d_is_artificial 0 is_artificial 0 d.d_ncols;
-    let t = { rows; basis; obj = widen d.d_obj; ncols; is_artificial } in
-    for e = 0 to k - 1 do
-      let c = constrs.(base + e) in
-      let terms, adjust = encode_terms s.s_encodings c.terms in
-      let r = Array.make (ncols + 1) F.zero in
-      List.iter (fun (coef, u) -> r.(u) <- F.add r.(u) coef) terms;
-      r.(ncols) <- F.sub c.rhs adjust;
-      let slack = d.d_ncols + e in
-      (match c.op with
-       | Lp_problem.Le -> r.(slack) <- F.one
-       | Lp_problem.Ge -> r.(slack) <- F.neg F.one
-       | Lp_problem.Eq -> assert false (* excluded by [compatible] *));
-      (* Express the row over the current basis. *)
-      let mrow = base_rows + e in
-      for i = 0 to mrow - 1 do
-        let b = basis.(i) in
-        let factor = r.(b) in
-        if not (F.is_zero factor) then begin
-          let br = rows.(i) in
-          for j = 0 to ncols do
-            if not (F.is_zero br.(j)) then r.(j) <- F.sub r.(j) (F.mul factor br.(j))
-          done;
-          r.(b) <- F.zero
-        end
-      done;
-      (* Normalize a Ge row so its slack is basic with coefficient +1. *)
-      if c.op = Lp_problem.Ge then
-        for j = 0 to ncols do r.(j) <- F.neg r.(j) done;
-      rows.(mrow) <- r;
-      basis.(mrow) <- slack
-    done;
-    (* The parent's optimality gives dual feasibility; verify cheaply in
-       case the snapshot predates numeric drift (floats). *)
-    let dual_ok = ref true in
-    for j = 0 to ncols - 1 do
-      if (not is_artificial.(j)) && F.compare t.obj.(j) F.zero < 0 then
-        dual_ok := false
-    done;
-    if not !dual_ok then None
-    else begin
-      let outcome =
-        Obs.Phases.time st.phases phase_dual (fun () ->
-            let dp = ref 0 in
-            let outcome = dual_iterate t ~pivots:dp ~budget ~cancel in
-            st.dual_pivots <- st.dual_pivots + !dp;
-            outcome)
-      in
-      match outcome with
-      | Stalled -> None
-      | Dual_infeasible_row -> Some (Infeasible, None)
-      | Primal_feasible ->
-        (* Optimality cleanup: with exact arithmetic the tableau is already
-           optimal and this performs zero pivots; with floats it absorbs
-           any residual negative reduced cost. *)
-        let cleanup =
-          Obs.Phases.time st.phases phase_phase2 (fun () ->
-              let p2 = ref 0 in
-              let cleanup = iterate t ~allow_artificial:false ~pivots:p2 ~cancel in
-              st.phase2_pivots <- st.phase2_pivots + !p2;
-              cleanup)
-        in
-        (match cleanup with
-         | Unbounded_direction ->
-           (* Cannot happen on a well-posed extension; be safe, go cold. *)
-           None
-         | Finished ->
-           let result = read_solution p ~encodings:s.s_encodings t in
-           let snap =
-             Obs.Phases.time st.phases phase_snapshot (fun () ->
-                 capture p ~encodings:s.s_encodings t)
-           in
-           Some (result, Some snap))
+      | Unbounded_direction -> Unbounded
+      | Finished -> read_solution p ~encodings t
     end
 
   (* ------------------------------------------------------------------ *)
@@ -1185,8 +956,19 @@ module Make (F : Field.S) = struct
          if !pivots land cancel_poll_mask = 0 then Cancel.check x.scancel;
          sp_iterate x ~allow_artificial ~pivots)
 
-  (* Revised dual simplex, mirroring the dense [dual_iterate] pivot rules
-     exactly (dual Bland anti-cycling, [budget]-bounded). *)
+  (* Revised dual simplex: starting from a dual-feasible basis (all
+     non-artificial reduced costs >= 0) with some negative basic values,
+     restore primal feasibility while keeping dual feasibility.
+     Anti-cycling by the dual Bland rule: leaving row = smallest
+     basic-variable index among infeasible rows; entering column =
+     smallest index among the minimum ratio d_j / -alpha_j over
+     alpha_j < 0.  [budget] bounds the pivot count (the caller falls back
+     to a cold solve on a stall).  A row with no eligible column is a
+     certificate of primal infeasibility: x_B < 0 with every real
+     coefficient >= 0, and artificials are 0 in any solution of the
+     original problem. *)
+  type dual_outcome = Primal_feasible | Dual_infeasible_row | Stalled
+
   let sp_dual_iterate (x : sp_state) ~pivots ~budget =
     let m = Array.length x.beta in
     let rec go () =
@@ -1246,16 +1028,22 @@ module Make (F : Field.S) = struct
 
   let sp_capture (p : P.t) ~(encodings : encoding array) (x : sp_state)
       : snapshot =
-    shared_snapshot_fields p ~encodings
-      (Sparse_basis
-         { z_basis = Array.copy x.sbasis;
-           z_nstd = x.form.fnstd;
-           z_ncols = x.form.fncols;
-           z_base = x.form.fbase;
-           z_ncols0 = x.form.fncols0;
-           z_is_artificial = Array.copy x.form.fis_artificial;
-           z_xb = Array.copy x.beta;
-           z_dj = Array.copy x.dj })
+    { s_nvars = P.num_vars p;
+      s_lowers = P.var_lowers p;
+      s_uppers = P.var_uppers p;
+      s_minimize = P.minimize p;
+      s_objective = P.objective p;
+      s_constrs = P.constraints p;
+      s_encodings = Array.copy encodings;
+      s_state =
+        { z_basis = Array.copy x.sbasis;
+          z_nstd = x.form.fnstd;
+          z_ncols = x.form.fncols;
+          z_base = x.form.fbase;
+          z_ncols0 = x.form.fncols0;
+          z_is_artificial = Array.copy x.form.fis_artificial;
+          z_xb = Array.copy x.beta;
+          z_dj = Array.copy x.dj } }
 
   (* Reset per-phase pricing state (the dual phase runs Bland; each primal
      phase restarts devex with a fresh reference framework). *)
@@ -1378,8 +1166,9 @@ module Make (F : Field.S) = struct
      extended basis is block-triangular, the new rows' multipliers are
      zero, and every old reduced cost is unchanged — then repair primal
      feasibility with the budget-bounded dual phase. *)
-  let sp_warm_attempt (s : snapshot) (z : sparse_state) (p : P.t) ~st ~budget
-      ~cancel : (result * snapshot option) option =
+  let sp_warm_attempt (s : snapshot) (p : P.t) ~st ~budget ~cancel
+      : (result * snapshot option) option =
+    let z = s.s_state in
     let constrs = P.constraints p in
     let base = z.z_base in
     let kpar = Array.length s.s_constrs - base in
@@ -1476,13 +1265,6 @@ module Make (F : Field.S) = struct
   (* Core dispatch                                                       *)
   (* ------------------------------------------------------------------ *)
 
-  let resolve_core core (p : P.t) =
-    let c = match core with Some c -> c | None -> !default_core_ref in
-    match c with
-    | Auto ->
-      if P.num_constraints p <= tuning.auto_dense_rows then Dense else Sparse
-    | c -> c
-
   let solve_cold ~core (p : P.t) ~st ~cancel ~want_capture
       : result * snapshot option =
     let nvars = P.num_vars p in
@@ -1500,12 +1282,12 @@ module Make (F : Field.S) = struct
     else begin
       let spec = build_spec p ~lowers ~uppers in
       match core with
-      | Dense | Auto -> dense_solve_with_spec p spec ~st ~cancel ~want_capture
+      | Dense -> (dense_solve_with_spec p spec ~st ~cancel, None)
       | Sparse -> (
         try sp_solve_with_spec p spec ~st ~cancel ~want_capture
         with Lu.Singular | Numerical_trouble ->
           Obs.Metrics.incr m_dense_fallbacks;
-          dense_solve_with_spec p spec ~st ~cancel ~want_capture)
+          (dense_solve_with_spec p spec ~st ~cancel, None))
     end
 
   (* ------------------------------------------------------------------ *)
@@ -1515,7 +1297,7 @@ module Make (F : Field.S) = struct
   let solve_stats_body ~cancel ~core (p : P.t) : result * stats =
     let st = fresh_stats () in
     Obs.Metrics.incr m_solves;
-    let core = resolve_core core p in
+    let core = Option.value core ~default:(default_core ()) in
     let result, _ = solve_cold ~core p ~st ~cancel ~want_capture:false in
     st.pivots <- st.phase1_pivots + st.phase2_pivots;
     Obs.Metrics.add m_pivots st.pivots;
@@ -1533,9 +1315,10 @@ module Make (F : Field.S) = struct
   (** Outcome of a {!solve_warm} call.  [warm_used] means the result came
       from the warm path (snapshot accepted, dual phase converged);
       [fell_back] means a snapshot was offered but a cold solve produced
-      the result (incompatible snapshot, dual-phase stall, or drift).
-      [snapshot] captures the final basis of an optimal solve — warm or
-      cold — for the next re-solve. *)
+      the result (incompatible snapshot, dual-phase stall, drift, or the
+      dense core).  [snapshot] captures the final basis of an optimal
+      sparse solve — warm or cold — for the next re-solve; a dense solve
+      captures none. *)
   type warm_outcome = {
     result : result;
     stats : stats;
@@ -1545,50 +1328,43 @@ module Make (F : Field.S) = struct
   }
 
   (** Solve [p], optionally warm-starting [?from] a snapshot of a previous
-      optimal solve of a prefix problem.  The warm replay always runs on
-      the core that produced the snapshot; [?core] (or the global default)
-      picks the core for cold solves.  The default dual-pivot budget
-      scales with the basis height; a stall falls back to a cold solve, so
-      a warm start can never yield a different answer than a cold one —
-      only fewer (or, pathologically, more) pivots. *)
+      optimal solve of a prefix problem.  Warm starts run on the sparse
+      core; [~core:Dense] always solves cold.  The default dual-pivot
+      budget scales with the basis height; a stall falls back to a cold
+      solve, so a warm start can never yield a different answer than a
+      cold one — only fewer (or, pathologically, more) pivots. *)
   let solve_warm ?(cancel = Cancel.none) ?from ?max_dual_pivots ?core (p : P.t)
       : warm_outcome =
     Obs.span "simplex.solve" (fun () ->
         let st = fresh_stats () in
         Obs.Metrics.incr m_solves;
-        let cold_core = resolve_core core p in
+        let core = Option.value core ~default:(default_core ()) in
         let warm_used = ref false and fell_back = ref false in
-        let cold () = solve_cold ~core:cold_core p ~st ~cancel ~want_capture:true in
+        let cold () = solve_cold ~core p ~st ~cancel ~want_capture:true in
         let result, snapshot =
           match from with
           | None -> cold ()
-          | Some s ->
-            if not (compatible s p) then begin
+          | Some s -> (
+            let attempt =
+              if core = Dense || not (compatible s p) then None
+              else begin
+                let budget =
+                  match max_dual_pivots with
+                  | Some b -> b
+                  | None -> 64 + (4 * (snapshot_rows s + snapshot_extra_rows s p))
+                in
+                try sp_warm_attempt s p ~st ~budget ~cancel
+                with Lu.Singular | Numerical_trouble -> None
+              end
+            in
+            match attempt with
+            | Some (result, snap) ->
+              warm_used := true;
+              Obs.Metrics.incr m_warm_starts;
+              (result, snap)
+            | None ->
               fell_back := true;
-              cold ()
-            end
-            else begin
-              let budget =
-                match max_dual_pivots with
-                | Some b -> b
-                | None -> 64 + (4 * (snapshot_rows s + snapshot_extra_rows s p))
-              in
-              let attempt =
-                match s.s_state with
-                | Dense_basis d -> warm_attempt s d p ~st ~budget ~cancel
-                | Sparse_basis z -> (
-                  try sp_warm_attempt s z p ~st ~budget ~cancel
-                  with Lu.Singular | Numerical_trouble -> None)
-              in
-              match attempt with
-              | Some (result, snap) ->
-                warm_used := true;
-                Obs.Metrics.incr m_warm_starts;
-                (result, snap)
-              | None ->
-                fell_back := true;
-                cold ()
-            end
+              cold ())
         in
         st.pivots <- st.phase1_pivots + st.phase2_pivots + st.dual_pivots;
         Obs.Metrics.add m_pivots st.pivots;

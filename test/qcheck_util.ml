@@ -42,3 +42,19 @@ let to_alcotest test =
       raise e
   in
   (name, speed, run')
+
+(** Native-int values at the word boundaries an immediate-int fast path
+    has to get right: around 2^30 (the 31-bit boundary), around 2^31
+    (pairwise products land on either side of 2^62: (2^31-1)(2^31+1) is
+    [max_int], 2^31 * 2^31 is one past it), 2^61, and [max_int]/[min_int]
+    themselves. *)
+let word_boundary_ints =
+  let p30 = 1 lsl 30 and p31 = 1 lsl 31 and p61 = 1 lsl 61 in
+  [ p30 - 1; p30; p30 + 1; -p30 - 1; -p30; -p30 + 1;
+    p31 - 1; p31; p31 + 1; -p31 - 1; -p31; -p31 + 1;
+    p61 - 1; p61; p61 + 1; -p61 - 1; -p61; -p61 + 1;
+    max_int; max_int - 1; min_int; min_int + 1; max_int / 2; min_int / 2 ]
+
+(** [gen] most of the time, a {!word_boundary_ints} value otherwise. *)
+let with_word_boundaries gen =
+  QCheck.Gen.frequency [ (3, gen); (1, QCheck.Gen.oneofl word_boundary_ints) ]

@@ -53,19 +53,36 @@ let unit_tests =
         check "(-2)^4" (bi 16) (Bigint.pow (bi (-2)) 4));
   ]
 
-let gen_int = QCheck.Gen.int_range (-1_000_000) 1_000_000
+let gen_int = Qcheck_util.with_word_boundaries (QCheck.Gen.int_range (-1_000_000) 1_000_000)
+let arb_int = QCheck.make gen_int ~print:string_of_int
 let arb_pair = QCheck.make ~print:(fun (a, b) -> Printf.sprintf "(%d, %d)" a b)
     (QCheck.Gen.pair gen_int gen_int)
 
 let prop name arb f = Qcheck_util.to_alcotest (QCheck.Test.make ~long_factor:10 ~count:500 ~name arb f)
 
+(* Native-int overflow predicates: where the native operation wraps, the
+   exact result lies outside [min_int, max_int]. *)
+let add_fits a b = let s = a + b in not ((a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0))
+let sub_fits a b = let d = a - b in not ((a >= 0) <> (b >= 0) && (d >= 0) <> (a >= 0))
+let mul_fits a b =
+  a = 0 || b = 0
+  || ((a * b) / b = a && not ((a = -1 && b = min_int) || (b = -1 && a = min_int)))
+
+(* The exact result equals the native one when that does not wrap, and
+   does not fit a native int when it does. *)
+let matches_int ~fits ~exact ~native =
+  if fits then Bigint.equal exact (bi native) else Bigint.to_int_opt exact = None
+
 let property_tests =
   [ prop "add matches int" arb_pair (fun (a, b) ->
-        Bigint.equal (Bigint.add (bi a) (bi b)) (bi (a + b)));
+        matches_int ~fits:(add_fits a b) ~native:(a + b)
+          ~exact:(Bigint.add (bi a) (bi b)));
     prop "sub matches int" arb_pair (fun (a, b) ->
-        Bigint.equal (Bigint.sub (bi a) (bi b)) (bi (a - b)));
+        matches_int ~fits:(sub_fits a b) ~native:(a - b)
+          ~exact:(Bigint.sub (bi a) (bi b)));
     prop "mul matches int" arb_pair (fun (a, b) ->
-        Bigint.equal (Bigint.mul (bi a) (bi b)) (bi (a * b)));
+        matches_int ~fits:(mul_fits a b) ~native:(a * b)
+          ~exact:(Bigint.mul (bi a) (bi b)));
     prop "ediv_rem law" arb_pair (fun (a, b) ->
         QCheck.assume (b <> 0);
         let q, r = Bigint.ediv_rem (bi a) (bi b) in
@@ -74,9 +91,14 @@ let property_tests =
         && Bigint.compare r (Bigint.abs (bi b)) < 0);
     prop "compare antisymmetric" arb_pair (fun (a, b) ->
         Bigint.compare (bi a) (bi b) = -Bigint.compare (bi b) (bi a));
-    prop "string round-trip" (QCheck.make gen_int ~print:string_of_int) (fun a ->
-        Bigint.equal (Bigint.of_string (Bigint.to_string (bi a))) (bi a));
-    prop "neg involutive" (QCheck.make gen_int ~print:string_of_int) (fun a ->
+    prop "compare agrees with the sign of sub" arb_pair (fun (a, b) ->
+        Int.compare (Bigint.compare (bi a) (bi b)) 0
+        = Bigint.sign (Bigint.sub (bi a) (bi b)));
+    prop "string round-trip" arb_int (fun a ->
+        Bigint.to_string (bi a) = string_of_int a
+        && Bigint.equal (Bigint.of_string (Bigint.to_string (bi a))) (bi a));
+    prop "to_int_opt round-trip" arb_int (fun a -> Bigint.to_int_opt (bi a) = Some a);
+    prop "neg involutive" arb_int (fun a ->
         Bigint.equal (Bigint.neg (Bigint.neg (bi a))) (bi a));
   ]
 

@@ -55,7 +55,8 @@ let unit_tests =
         Alcotest.(check (float 1e-12)) "1/4" 0.25 (Rat.to_float (r 1 4)));
   ]
 
-let gen_int = QCheck.Gen.int_range (-10_000) 10_000
+let gen_small_int = QCheck.Gen.int_range (-10_000) 10_000
+let gen_int = Qcheck_util.with_word_boundaries gen_small_int
 let gen_rat =
   QCheck.Gen.map
     (fun (n, d) -> r n (if d = 0 then 1 else d))
@@ -69,6 +70,11 @@ let arb_triple =
     ~print:(fun (a, b, c) ->
       String.concat ", " [ Rat.to_string a; Rat.to_string b; Rat.to_string c ])
     (QCheck.Gen.triple gen_rat gen_rat gen_rat)
+
+let arb_ints =
+  QCheck.make
+    ~print:(fun (n, d, k) -> Printf.sprintf "(%d, %d, %d)" n d k)
+    (QCheck.Gen.triple gen_int gen_int gen_int)
 
 let prop name arb f = Qcheck_util.to_alcotest (QCheck.Test.make ~long_factor:10 ~count:300 ~name arb f)
 
@@ -87,13 +93,30 @@ let property_tests =
         let fl = Rat.of_bigint (Rat.floor a) in
         Rat.compare fl a <= 0 && Rat.compare a (Rat.add fl Rat.one) < 0);
     prop "string round-trip" arb_rat (fun a -> Rat.equal (Rat.of_string (Rat.to_string a)) a);
-    prop "of_float_dyadic exact" (QCheck.make gen_int ~print:string_of_int) (fun n ->
+    prop "of_float_dyadic exact" (QCheck.make gen_small_int ~print:string_of_int) (fun n ->
         (* n/2^k floats are exactly representable. *)
         let f = float_of_int n /. 1024.0 in
         Rat.equal (Rat.of_float_dyadic f) (r n 1024));
     prop "compare total order transitivity" arb_triple (fun (a, b, c) ->
         let ab = Rat.compare a b and bc = Rat.compare b c in
         if ab <= 0 && bc <= 0 then Rat.compare a c <= 0 else true);
+    prop "add then sub round-trips" arb_pair (fun (a, b) ->
+        Rat.equal (Rat.sub (Rat.add a b) b) a);
+    prop "mul then div round-trips" arb_pair (fun (a, b) ->
+        QCheck.assume (not (Rat.is_zero b));
+        Rat.equal (Rat.div (Rat.mul a b) b) a);
+    prop "compare agrees with the sign of sub" arb_pair (fun (a, b) ->
+        Int.compare (Rat.compare a b) 0 = Rat.sign (Rat.sub a b));
+    prop "make normalises" arb_ints (fun (n, d, k) ->
+        QCheck.assume (d <> 0 && k <> 0);
+        let bi = Bigint.of_int in
+        let x = Rat.make (bi n) (bi d) in
+        let num = Rat.num x and den = Rat.den x in
+        Bigint.sign den = 1
+        && Bigint.equal (Bigint.gcd num den) Bigint.one
+        && Bigint.equal (Bigint.mul num (bi d)) (Bigint.mul (bi n) den)
+        (* a common factor, even one pushing both parts past a word, cancels *)
+        && Rat.equal (Rat.make (Bigint.mul (bi n) (bi k)) (Bigint.mul (bi d) (bi k))) x);
   ]
 
 let suite = unit_tests @ property_tests
