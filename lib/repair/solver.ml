@@ -256,7 +256,7 @@ type comp_solved =
     to feed the report (instance size, retries) but no {!Encode.t} — the
     hit did not build one. *)
 type cached_hit = {
-  ch_answer : [ `Repaired of Repair.t * provenance | `Infeasible ];
+  ch_answer : [ `Repaired of Repair.t | `Infeasible ];
   ch_vars : int;
   ch_milp_rows : int;
   ch_retries : int;
@@ -272,17 +272,19 @@ module Cache = struct
   (** Process-wide bounded LRU memo of per-component solves, keyed by a
       canonical content hash of the repair instance: ground rows
       (coefficients over dense cell indices, op, rhs), the cells' current
-      values and integer-domain flags, the operator pins, the node budget
-      and the coefficient field.  Tuple ids are canonicalized away, so
+      values and integer-domain flags, the operator pins and the
+      coefficient field.  Tuple ids are canonicalized away, so
       structurally identical sub-instances from different documents (the
       template-repeated workload of BENCH_serve2) share entries; a hit is
       translated back through the live component's cell order.
 
-      Only deterministic outcomes are cached — proved optima, incumbents
-      of budget-truncated (not deadline-cancelled) searches, and
-      infeasibility — so a hit is byte-identical to re-solving (pinned by
-      the PR 5 determinism suite).  Disabled by default ([budget = 0]);
-      the server enables it via [--solve-cache-mb]. *)
+      Only proofs are stored: proved optima ([Exact]) and proved
+      infeasibility.  A proof holds under any node budget, so the key
+      leaves the budget out and a hit is served at every brownout rung,
+      greedy rung included; it is byte-identical to re-solving under any
+      budget that lets the search finish.  Incumbents of truncated or
+      cancelled searches are never stored.  Disabled by default
+      ([budget = 0]); the server enables it via [--solve-cache-mb]. *)
 
   module R = Dart_relational
 
@@ -295,8 +297,8 @@ module Cache = struct
   (* Repairs are stored field-agnostically as dense-cell-index changes and
      re-materialized against the live database at hit time. *)
   type stored =
-    | S_repaired of provenance * (int * Rat.t) list * int * int * int
-        (** provenance, changes, vars, milp rows, retries *)
+    | S_repaired of (int * Rat.t) list * int * int * int
+        (** changes, vars, milp rows, retries *)
     | S_infeasible of int * int * int  (** vars, milp rows, retries *)
 
   type entry = { value : stored; cost : int; mutable used : int }
@@ -357,22 +359,15 @@ module Cache = struct
   (* The canonical form of one component instance.  Cells are named by
      their first-appearance index; pins are sorted by that index so pin
      order cannot split otherwise-identical keys. *)
-  let canonical ~max_nodes db rows forced =
+  let canonical db rows forced =
     let cells = Array.of_list (Ground.cells rows) in
     let idx = Hashtbl.create (Array.length cells * 2) in
     Array.iteri (fun i c -> Hashtbl.replace idx c i) cells;
     let buf = Buffer.create 512 in
     (* Solver-config fingerprint, ahead of the instance itself: the
-       schema version, coefficient field, node budget, big-M retry cap
-       and the instance's starting big-M.  A config change across
-       restarts (or a brownout-tightened budget) therefore keys a
-       different entry and can never rematerialize a stale cached
-       repair computed under other solver settings. *)
-    Buffer.add_string buf "v3;rat;";
-    Buffer.add_string buf (Simplex.core_to_string (Simplex.default_core ()));
-    Buffer.add_char buf ';';
-    Buffer.add_string buf (string_of_int max_nodes);
-    Buffer.add_char buf ';';
+       schema version, coefficient field, big-M retry cap and the
+       instance's starting big-M — everything a proof depends on. *)
+    Buffer.add_string buf "v4;rat;";
     Buffer.add_string buf (string_of_int max_big_m_retries);
     Buffer.add_char buf ';';
     Buffer.add_string buf (Rat.to_string (Encode.default_big_m db rows));
@@ -421,10 +416,10 @@ module Cache = struct
     | `Hit of cached_hit
     | `Miss of string * (Ground.cell, int) Hashtbl.t ]
 
-  let consult ~max_nodes db rows forced : consulted =
+  let consult db rows forced : consulted =
     if locked (fun () -> !budget = 0) then `Disabled
     else
-      let key, cells, idx = canonical ~max_nodes db rows forced in
+      let key, cells, idx = canonical db rows forced in
       let found =
         locked (fun () ->
             match Hashtbl.find_opt tbl key with
@@ -435,11 +430,11 @@ module Cache = struct
             | None -> None)
       in
       match found with
-      | Some (S_repaired (prov, changes, vars, mrows, retries)) ->
+      | Some (S_repaired (changes, vars, mrows, retries)) ->
         Obs.Metrics.incr m_hits;
         `Hit
           { ch_answer =
-              `Repaired (List.map (fun (i, v) -> Update.of_rat db cells.(i) v) changes, prov);
+              `Repaired (List.map (fun (i, v) -> Update.of_rat db cells.(i) v) changes);
             ch_vars = vars; ch_milp_rows = mrows; ch_retries = retries }
       | Some (S_infeasible (vars, mrows, retries)) ->
         Obs.Metrics.incr m_hits;
@@ -450,15 +445,12 @@ module Cache = struct
         Obs.Metrics.incr m_misses;
         `Miss (key, idx)
 
-  (* Rough resident size of an entry: key, per-change index + rational
-     text, fixed bookkeeping. *)
-  let cost_of key = function
-    | S_infeasible _ -> String.length key + 96
-    | S_repaired (_, changes, _, _, _) ->
-      List.fold_left
-        (fun acc (_, v) -> acc + 24 + String.length (Rat.to_string v))
-        (String.length key + 96)
-        changes
+  (* Resident bytes of an entry: the key and the stored value as the heap
+     words they reach, plus the entry record and its Hashtbl binding
+     (a header and three fields each). *)
+  let cost_of key value =
+    (Obj.reachable_words (Obj.repr key) + Obj.reachable_words (Obj.repr value) + 8)
+    * (Sys.word_size / 8)
 
   let insert key value =
     locked (fun () ->
@@ -479,23 +471,22 @@ module Cache = struct
         end)
 
   (** Record a freshly solved component under the key {!consult} missed
-      on.  Deadline-cancelled answers are transient and never stored. *)
+      on, if its outcome is a proof; anything else is dropped. *)
   let remember (key, idx) (r : comp_solved) =
     let index_of u = Hashtbl.find idx (Update.cell u) in
     match r with
-    | Ok (repair, prov, enc, _, retries, false) ->
+    | Ok (repair, Exact, enc, _, retries, false) ->
       let changes =
         List.map
           (fun u -> (index_of u, R.Value.to_rat u.Update.new_value))
           repair
       in
       insert key
-        (S_repaired
-           (prov, changes, Encode.num_vars enc, Encode.num_rows enc, retries))
+        (S_repaired (changes, Encode.num_vars enc, Encode.num_rows enc, retries))
     | Error (`Infeasible (enc, _, retries)) ->
       insert key
         (S_infeasible (Encode.num_vars enc, Encode.num_rows enc, retries))
-    | Ok (_, _, _, _, _, true) | Error (`Budget _) | Error (`Cancelled _) -> ()
+    | Ok _ | Error (`Budget _ | `Cancelled _) -> ()
 end
 
 let grow_m m = Rat.mul (Rat.of_int 64) m
@@ -587,7 +578,7 @@ let solve_comp ~max_nodes ~cancel ~warm db ~forced ci (c : comp) : comp_outcome 
        building (or extending) an encoding.  A hit leaves the component's
        state untouched — a later, deeper pin set simply consults the
        cache again or builds. *)
-    match Cache.consult ~max_nodes db c.crows comp_forced with
+    match Cache.consult db c.crows comp_forced with
     | `Hit hit -> `Cached hit
     | (`Disabled | `Miss _) as consulted ->
       let carried = c.enc <> None in
@@ -680,14 +671,13 @@ let degrade ~forced ~db ~constraints why stats_v =
 let summarize : comp_outcome -> _ = function
   | `Satisfied -> ("satisfied", (0, 0), no_work, 0, `Skip)
   | `Cached hit ->
-    (* A process-wide cache hit: the answer is byte-identical to
-       re-solving, with zero work — the same contract as a component's
-       own memo. *)
+    (* A process-wide cache hit: a stored proof, served with zero work —
+       the same contract as a component's own memo. *)
     let sizes = (hit.ch_vars, hit.ch_milp_rows) in
     (match hit.ch_answer with
-     | `Repaired (repair, prov) ->
-       (provenance_to_string prov, sizes, no_work, hit.ch_retries,
-        `Repair (repair, prov, false))
+     | `Repaired repair ->
+       (provenance_to_string Exact, sizes, no_work, hit.ch_retries,
+        `Repair (repair, Exact, false))
      | `Infeasible -> ("infeasible", sizes, no_work, hit.ch_retries, `Infeasible))
   | `Solved outcome ->
     let sizes enc = (Encode.num_vars enc, Encode.num_rows enc) in

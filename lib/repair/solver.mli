@@ -155,13 +155,17 @@ end
 
 (** Process-wide bounded LRU cache of per-component solves, keyed by a
     canonical content hash of the instance (ground rows over dense cell
-    indices, current cell values, integer-domain flags, pins, node
-    budget, coefficient field).  Tuple ids are canonicalized away, so
+    indices, current cell values, integer-domain flags, pins,
+    coefficient field).  Tuple ids are canonicalized away, so
     structurally identical sub-instances from different documents share
-    entries.  Only deterministic outcomes are stored (proved optima,
-    budget-truncated incumbents, infeasibility — never deadline-cancelled
-    answers), so a hit is byte-identical to re-solving; like {!Warm}'s
-    per-session memo, hits contribute zero nodes/pivots to [stats].
+    entries.  Only proofs are stored (proved optima and proved
+    infeasibility — never budget-truncated or deadline-cancelled
+    answers).  A proof holds under any node budget, so the key leaves the
+    budget out: a hit answers [Exact] under every [max_nodes], and is
+    byte-identical to re-solving under any budget that lets the search
+    finish.  Like {!Warm}'s per-session memo, hits contribute zero
+    nodes/pivots to [stats].  Each entry is charged the heap bytes it
+    holds, so the budget bounds real memory.
 
     Disabled by default ([set_budget_bytes 0]); both {!card_minimal} and
     {!Warm.solve} consult it when enabled.  Counters:

@@ -406,7 +406,9 @@ let handle_detect t ~cancel req =
 (* The brownout ladder turns measured load into a per-request node
    budget: full effort at level 0, a pruned tree at 1, incumbent-only at
    2, straight to the greedy tier at 3+.  The quality drop is visible to
-   the client through the existing [provenance] field.  Only stateless
+   the client through the existing [provenance] field.  A component the
+   solve cache holds a proof for answers exact at every level: the cache
+   keys on content, not on this budget.  Only stateless
    [repair] requests brown out; sessions keep the budget they were
    opened with (an operator mid-validation sees consistent proposals). *)
 let effective_max_nodes t =

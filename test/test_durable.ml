@@ -288,6 +288,12 @@ let repaired = function
   | Solver.Repaired (rho, prov, stats) -> (rho, prov, stats)
   | _ -> Alcotest.fail "expected a repaired result"
 
+(* A freshly generated, corrupted two-year quarterly statement. *)
+let quarterly_db ~seed ~errors =
+  let prng = Dart_rand.Prng.create seed in
+  let truth = Dart_datagen.Quarterly.generate ~years:2 prng in
+  fst (Dart_datagen.Quarterly.corrupt ~errors prng truth)
+
 let update_strings db rows rho =
   List.map
     (fun u -> Json.to_string (Proto.update_json db u))
@@ -360,7 +366,47 @@ let cache_tests =
         let e0 = Obs.Metrics.value c_evictions in
         solve (Test_server.doc 12);
         Alcotest.(check bool) "evicted" true (Obs.Metrics.value c_evictions > e0);
-        Alcotest.(check bool) "within budget" true (Solver.Cache.bytes_used () <= b))
+        Alcotest.(check bool) "within budget" true (Solver.Cache.bytes_used () <= b));
+    t "a proof is served under every node budget" (fun () ->
+        with_cache 32 @@ fun () ->
+        (* Two violated components needing 147 and 131 nodes to prove. *)
+        let solve max_nodes =
+          Solver.card_minimal ~max_nodes (quarterly_db ~seed:2101 ~errors:2)
+            Dart_datagen.Quarterly.constraints
+        in
+        let rho0, prov0, _ = repaired (solve 2_000_000) in
+        Alcotest.(check string) "full budget proves" "exact"
+          (Solver.provenance_to_string prov0);
+        List.iter
+          (fun max_nodes ->
+            let h = Obs.Metrics.value c_hits in
+            let rho, prov, s = repaired (solve max_nodes) in
+            let at = Printf.sprintf " at max_nodes %d" max_nodes in
+            Alcotest.(check int) ("both components hit" ^ at) (h + 2)
+              (Obs.Metrics.value c_hits);
+            Alcotest.(check string) ("exact" ^ at) "exact"
+              (Solver.provenance_to_string prov);
+            Alcotest.(check int) ("zero nodes" ^ at) 0 s.Solver.nodes;
+            Alcotest.(check int) ("same repair size" ^ at)
+              (Repair.cardinality rho0) (Repair.cardinality rho))
+          [ 200; 0 ]);
+    t "an incumbent of a truncated search is not stored" (fun () ->
+        with_cache 32 @@ fun () ->
+        (* One violated component needing 1045 nodes to prove. *)
+        let solve () =
+          Solver.card_minimal ~max_nodes:100 (quarterly_db ~seed:2 ~errors:3)
+            Dart_datagen.Quarterly.constraints
+        in
+        let m0 = Obs.Metrics.value c_misses in
+        let h0 = Obs.Metrics.value c_hits in
+        for _ = 1 to 2 do
+          let _, prov, _ = repaired (solve ()) in
+          Alcotest.(check string) "truncated" "incumbent"
+            (Solver.provenance_to_string prov)
+        done;
+        Alcotest.(check int) "two misses" (m0 + 2) (Obs.Metrics.value c_misses);
+        Alcotest.(check int) "no hit" h0 (Obs.Metrics.value c_hits);
+        Alcotest.(check int) "nothing stored" 0 (Solver.Cache.entries ()))
   ]
 
 (* ------------------------------------------------------------------ *)
